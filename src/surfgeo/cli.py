@@ -276,19 +276,21 @@ def _cmd_geodesic(s, blocks, cmd, out: _Output, seed):
         for i, ((u, v), c) in enumerate(zip(pts, arcs))
     ]
     out.write_csv("geodesic.csv", ["t", "u", "v", "cumulative_length"], rows)
-    out.write_summary(
-        {
-            "command": "geodesic",
-            "surface": s.name,
-            "length": shot.length,
-            "step": shot.step,
-            "initial_heading": out.angle(shot.headings[0]),
-            "final_heading": out.angle(shot.headings[-1]),
-            "end_u": float(pts[-1, 0]),
-            "end_v": float(pts[-1, 1]),
-            "exited_domain": shot.exited,
-        }
-    )
+    summary = {
+        "command": "geodesic",
+        "surface": s.name,
+        "length": shot.length,
+        "step": shot.step,
+        "initial_heading": out.angle(shot.headings[0]),
+        "final_heading": out.angle(shot.headings[-1]),
+        "end_u": float(pts[-1, 0]),
+        "end_v": float(pts[-1, 1]),
+        "exited_domain": shot.exited,
+    }
+    if shot.iterations is not None:
+        summary["iterations"] = shot.iterations
+        summary["residual"] = shot.residual
+    out.write_summary(summary)
     out.write_svg("geodesic.svg", [("geodesic", pts)], "path_overlay", "geodesic track")
 
 
@@ -543,14 +545,22 @@ def run_scenario(config_text: str, base_dir=None, degrees: bool = False) -> int:
             file=sys.stderr,
         )
         return 2
+    return _execute(lambda: cfg, base_dir=base_dir, degrees=degrees)
+
+
+def _execute(make_cfg, base_dir=None, degrees: bool = False) -> int:
+    """Run the config ``make_cfg()`` builds; report errors as exit statuses."""
     try:
-        files = _run_config(cfg, base_dir=base_dir, degrees=degrees)
+        files = _run_config(make_cfg(), base_dir=base_dir, degrees=degrees)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     for f in files:
         print(f)
     return 0
@@ -797,18 +807,7 @@ def main(argv=None) -> int:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 2
         return run_scenario(text, degrees=args.degrees)
-    try:
-        cfg = _cfg_from_args(args)
-        files = _run_config(cfg, degrees=args.degrees)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for f in files:
-        print(f)
-    return 0
+    return _execute(lambda: _cfg_from_args(args), degrees=args.degrees)
 
 
 if __name__ == "__main__":

@@ -97,12 +97,12 @@ def _quad_loop(s: Surface, p, scale: float, aspect: float, step):
     u0, v0 = float(p[0]), float(p[1])
     corners = []
     for psi, dist in ((0.0, su), (0.5 * math.pi, sv), (math.pi, su), (-0.5 * math.pi, sv)):
-        eu, ev, _, _, exited = geodesics._shoot_raw(s, u0, v0, psi, dist / 8.0, 8)
+        us, vs, _, exited = geodesics._integrate(s, u0, v0, psi, dist / 8.0, 8)
         if exited:
             raise geodesics.ChartExitError(
                 "curvature quadrilateral leaves the chart domain", p
             )
-        corners.append([eu, ev])
+        corners.append([us[-1], vs[-1]])
     loop, _, _ = geodesics.geodesic_polygon(s, corners, step=step)
     return loop
 

@@ -39,6 +39,8 @@ class GeodesicShot:
     velocities: np.ndarray    # chart components of the unit velocity
     step: float
     exited: bool = False
+    iterations: int | None = None   # secant shots taken by connect_geodesic
+    residual: float | None = None   # connect_geodesic's final endpoint miss
 
 
 def _rhs(s: Surface, u: float, v: float, psi: float):
@@ -103,39 +105,6 @@ def _integrate(s: Surface, u0, v0, psi0, h, n):
     return us, vs, ps, False
 
 
-def _shoot_raw(s: Surface, u0, v0, psi0, h, n):
-    """Endpoint-only variant of _integrate for solver iterations.
-
-    Returns (u, v, psi, steps_taken, exited) without building Path objects.
-    """
-    ub, vb = _scalar_bounds(s)
-    u, v, psi = u0, v0, psi0
-    for k in range(n):
-        a1, b1, c1 = _rhs(s, u, v, psi)
-        a2, b2, c2 = _rhs(s, u + 0.5 * h * a1, v + 0.5 * h * b1, psi + 0.5 * h * c1)
-        a3, b3, c3 = _rhs(s, u + 0.5 * h * a2, v + 0.5 * h * b2, psi + 0.5 * h * c2)
-        a4, b4, c4 = _rhs(s, u + h * a3, v + h * b3, psi + h * c3)
-        nu = u + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        nv = v + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        np_ = psi + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        if ub is not None and not ub[0] <= nu <= ub[1]:
-            return u, v, psi, k, True
-        if vb is not None and not vb[0] <= nv <= vb[1]:
-            return u, v, psi, k, True
-        u, v, psi = nu, nv, np_
-    return u, v, psi, n, False
-
-
-def _vel_scalar(s: Surface, u, v, psi):
-    E, F, G = (float(t) for t in s.jet(u, v, math)[:3])
-    W = math.sqrt(E * G - F * F)
-    rE = math.sqrt(E)
-    return (
-        math.cos(psi) / rE - math.sin(psi) * F / (rE * W),
-        math.sin(psi) * rE / W,
-    )
-
-
 def _velocities(s: Surface, pts: np.ndarray, psis: np.ndarray) -> np.ndarray:
     E, F, G = (
         np.broadcast_to(np.asarray(t, dtype=float), psis.shape)
@@ -163,7 +132,14 @@ def _shoot_angle(s: Surface, start, psi0: float, length: float, step=None) -> Ge
     h = _shot_step(s, length, step)
     n = max(4, int(math.ceil(length / h - 1e-12)))
     h = length / n
-    us, vs, ps, exited = _integrate(s, u0, v0, psi0, h, n)
+    return _make_shot(s, h, *_integrate(s, u0, v0, psi0, h, n))
+
+
+def _make_shot(
+    s: Surface, h: float, us, vs, ps, exited: bool, iterations=None, residual=None
+) -> GeodesicShot:
+    """GeodesicShot from an _integrate trajectory taken with step h."""
+    u0, v0 = us[0], vs[0]
     if len(us) < 2:
         raise ChartExitError(
             "geodesic leaves the chart domain on its first step",
@@ -187,6 +163,8 @@ def _shoot_angle(s: Surface, start, psi0: float, length: float, step=None) -> Ge
         velocities=vel,
         step=h,
         exited=exited,
+        iterations=iterations,
+        residual=residual,
     )
 
 
@@ -273,8 +251,24 @@ def connect_geodesic(
     The initial guess is the chart straight line (to the nearest periodic
     image of b); the returned arc is the one homotopic to that guess.  An
     explicit ``initial_angle`` selects a different branch.
+
+    Each shot fixes the start, the departure angle and the length, and
+    measures the metric miss at the endpoint along and across the arrival
+    direction.  The along part corrects the length; the across part
+    corrects the angle through a secant estimate of d(miss)/d(angle),
+    starting from the flat-plane value (the length).  The secant runs on a
+    coarse grid (step at least L/32) until the miss is below
+    ``tol * max(1, L)``, then on the fine grid from ``step`` until it is
+    below again.  The secant slope is carried across the switch, but no
+    difference is taken between shots on different grids.  The returned
+    shot is the converged iterate itself, with ``iterations`` (shots taken)
+    and ``residual`` (final miss) filled in.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     ua, va = float(a[0]), float(a[1])
+    if not s.domain.strictly_inside(ua, va):
+        raise ValueError("start point lies outside the chart domain")
     du, dv = _wrap_delta(s, a, b)
     if s.name == "sphere":
         # antipodal pairs do not single out a great circle
@@ -309,34 +303,37 @@ def connect_geodesic(
     fine = _shot_step(s, L, step)
     coarse = max(fine, L / 32.0)
     h0 = coarse
-    target = np.array([tu, tv])
     prev_psi = prev_perp = None
     jac = None
-    converged = False
-    for _ in range(max_iter):
-        # endpoint-only shot on the same step grid _shoot_angle would use
+    for it in range(1, max_iter + 1):
         n = max(4, int(math.ceil(L / h0 - 1e-12)))
-        eu, ev, epsi, taken, exited = _shoot_raw(s, ua, va, psi, L / n, n)
-        end = np.array([eu, ev])
-        miss = target - end
-        tvec = np.array(_vel_scalar(s, eu, ev, epsi))
-        nvec = surface.left_normal(s, end, tvec)
-        lon = surface.metric_dot(s, end, miss, tvec)
-        perp = surface.metric_dot(s, end, miss, nvec)
+        h = L / n
+        us, vs, ps, exited = _integrate(s, ua, va, psi, h, n)
+        # miss to the target in the orthonormal frame at the endpoint, then
+        # split along and across the arrival velocity cos(psi) e1 + sin(psi) e2
+        mu, mv = tu - us[-1], tv - vs[-1]
+        E, F, G = s.jet(us[-1], vs[-1], math)[:3]
+        rE = math.sqrt(E)
+        ma = (E * mu + F * mv) / rE
+        mb = mv * math.sqrt(E * G - F * F) / rE
+        c, sn = math.cos(ps[-1]), math.sin(ps[-1])
+        lon = ma * c + mb * sn
+        perp = mb * c - ma * sn
         err = math.hypot(lon, perp)
         if err < tol * max(1.0, L):
             if h0 <= fine * (1.0 + 1e-12):
-                converged = True
                 break
-            h0 = fine  # converged on the coarse grid; polish on the fine one
+            # converged on the coarse grid; polish on the fine one.  The
+            # slope jac carries over, but no secant difference spans two grids.
+            h0 = fine
             prev_psi = prev_perp = None
             continue
         if exited:
-            L = taken * (L / n)
+            L = (len(us) - 1) * h
             continue
-        if jac is None or prev_psi is None:
+        if jac is None:
             jac = L
-        else:
+        elif prev_psi is not None:
             dpsi = psi - prev_psi
             if abs(dpsi) > 1e-14:
                 est = -(perp - prev_perp) / dpsi
@@ -348,11 +345,11 @@ def connect_geodesic(
         dlon = max(-0.5 * L, min(0.5 * L, lon))
         psi += dpsi
         L += dlon
-    if not converged:
+    else:
         raise ValueError(
             f"geodesic connection did not converge (residual {err:.3e})"
         )
-    return _shoot_angle(s, (ua, va), psi, L, step=fine)
+    return _make_shot(s, h, us, vs, ps, exited, iterations=it, residual=err)
 
 
 def geodesic_polygon(s: Surface, vertices, step=None):

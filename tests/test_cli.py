@@ -71,6 +71,9 @@ def test_geodesic_connect(tmp_path):
     header, rows = _read_csv(out / "geodesic.csv")
     assert header == ["t", "u", "v", "cumulative_length"]
     assert abs(float(rows[-1][3]) - 1.0) < 1e-7  # equator arc of length 1
+    s = _summary(out / "summary.txt")
+    assert 1 <= int(s["iterations"]) <= 80
+    assert float(s["residual"]) < 1e-11
 
 
 def test_relax_plane_detour(tmp_path):
@@ -215,6 +218,18 @@ def test_computational_error_exit_code(tmp_path, capsys):
                    "--loop", "latitude_circle:u=0.0001", "--out", str(out)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_unwritable_output_directory_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("in the way\n")
+    out = blocker / "o"
+    rc = cli.main(["transport", "--surface", "sphere:r=1",
+                   "--loop", "latitude_circle:u=1.0", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error") and str(out) in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_run_scenario_round_trip(tmp_path):

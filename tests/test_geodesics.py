@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from surfgeo import geodesics, paths, surface as sf
 
@@ -16,6 +17,7 @@ SPHERE = sf.builtin_surface("sphere", {"r": 1.0})
 PLANE = sf.builtin_surface("plane", {})
 CYL = sf.builtin_surface("cylinder", {"r": 1.3})
 HILL = sf.builtin_surface("hill", {"h": 1.0, "sigma": 1.0})
+ELLIPSOID = sf.builtin_surface("ellipsoid", {"a": 1.0, "b": 1.3, "c": 0.8})
 
 
 def _sphere_xyz(p):
@@ -80,6 +82,64 @@ def test_connect_matches_arccos_oracle():
         assert abs(dv) < 1e-7
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    r=st.sampled_from([0.5, 1.0, 6.371]),
+    u0=st.floats(0.3, math.pi - 0.3),
+    v0=st.floats(0.0, 2 * math.pi),
+    heading=st.floats(-math.pi, math.pi),
+    arc=st.floats(0.05, 2.6),
+)
+def test_connect_length_matches_great_circle(r, u0, v0, heading, arc):
+    # the great-circle arc of the given angle from (u0, v0); the endpoint
+    # algebra of the secant solver must reproduce r * arccos(a . b)
+    p = _sphere_xyz((u0, v0))
+    e_u = np.array([math.cos(u0) * math.cos(v0), math.cos(u0) * math.sin(v0), -math.sin(u0)])
+    e_v = np.array([-math.sin(v0), math.cos(v0), 0.0])
+    t = math.cos(heading) * e_u + math.sin(heading) * e_v
+    ts = np.linspace(0.0, arc, 200)
+    arcpts = np.outer(np.cos(ts), p) + np.outer(np.sin(ts), t)
+    assume(np.all(np.abs(arcpts[:, 2]) <= math.cos(0.3)))  # 0.3 rad from both poles
+    q = arcpts[-1]
+    b = (math.acos(q[2]), math.atan2(q[1], q[0]) % (2 * math.pi))
+    s = sf.builtin_surface("sphere", {"r": r})
+    g = geodesics.connect_geodesic(s, (u0, v0), b)
+    want = r * math.acos(np.clip(np.dot(p, _sphere_xyz(b)), -1.0, 1.0))
+    assert abs(g.length - want) < 1e-8 * want
+
+
+@pytest.mark.parametrize("s, a, b, step", [
+    (SPHERE, (0.7, 0.2), (1.9, 1.4), 0.01),
+    (SPHERE, (1.3, 5.9), (1.1, 0.6), 0.02),
+    (HILL, (-0.9, 0.4), (0.8, -0.3), 0.01),
+    (ELLIPSOID, (0.6, 0.3), (1.2, 1.0), 0.01),
+])
+def test_connect_returns_the_converged_shot_exactly(s, a, b, step):
+    g = geodesics.connect_geodesic(s, a, b, step=step)
+    again = geodesics._shoot_angle(s, a, g.headings[0], g.length, step=step)
+    assert np.array_equal(g.result_path.points, again.result_path.points)
+    assert np.array_equal(g.headings, again.headings)
+    assert np.array_equal(g.velocities, again.velocities)
+
+
+def test_connect_reports_iterations_and_residual():
+    tol, max_iter = 1e-11, 80
+    for s, a, b in ((SPHERE, (0.7, 0.2), (1.9, 1.4)), (HILL, (-0.9, 0.4), (0.8, -0.3))):
+        g = geodesics.connect_geodesic(s, a, b, tol=tol, max_iter=max_iter)
+        assert 0.0 <= g.residual < tol * max(1.0, g.length)
+        assert 1 <= g.iterations <= max_iter
+    shot = geodesics.shoot_geodesic(SPHERE, (1.0, 0.5), (1.0, 0.0), 1.0)
+    assert shot.iterations is None and shot.residual is None
+
+
+def test_connect_rejects_max_iter_below_one():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            geodesics.connect_geodesic(SPHERE, (0.7, 0.2), (1.9, 1.4), max_iter=bad)
+    with pytest.raises(ValueError, match="did not converge"):
+        geodesics.connect_geodesic(SPHERE, (0.7, 0.2), (1.9, 1.4), max_iter=1)
+
+
 def test_connect_cylinder_both_winding_branches():
     a, b = (0.5, 0.3), (1.5, 3.3)
     r = 1.3
@@ -103,6 +163,8 @@ def test_connect_rejects_degenerate_pairs():
         geodesics.connect_geodesic(SPHERE, (1.0, 1.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         geodesics.connect_geodesic(SPHERE, (1.2, 0.5), (math.pi - 1.2, 0.5 + math.pi))
+    with pytest.raises(ValueError, match="outside the chart domain"):
+        geodesics.connect_geodesic(SPHERE, (-0.5, 1.0), (1.0, 1.0))
 
 
 def test_shot_truncates_on_domain_exit():
