@@ -73,18 +73,14 @@ from .surface import (
     ChristoffelSymbols,
     connection_form,
     connection_increments,
-    embedding_point,
     frame_angle,
     frame_at,
     frame_components,
-    left_normal,
-    metric_at,
     metric_dot,
     metric_norm,
     Surface,
     surface_from_embedding,
     surface_from_metric,
-    surface_normal,
     TangentVector,
     vector_from_frame,
 )

@@ -43,35 +43,37 @@ class GeodesicShot:
     residual: float | None = None   # connect_geodesic's final endpoint miss
 
 
-def _rhs(s: Surface, u: float, v: float, psi: float):
-    # velocity = cos(psi) e1 + sin(psi) e2; psi parallel: d(psi) = -omega
-    E, F, G, Eu, Ev, Fu, Fv, Gu, Gv = s.jet(u, v, math)
+def _rhs(s: Surface, u, v, psi, xp):
+    # velocity = cos(psi) e1 + sin(psi) e2; psi parallel: d(psi) = -omega.
+    # This fuses surface.connection_form and surface.from_frame over one jet
+    # call, because it is the scalar hot loop of every shot.
+    E, F, G, Eu, Ev, Fu, Fv, Gu, Gv = s.jet(u, v, xp)
     det = E * G - F * F
-    W = math.sqrt(det)
+    W = xp.sqrt(det)
     sc = W / E
     wu = 0.5 * sc * (-F * Eu + E * (2.0 * Fu - Ev)) / det
     wv = 0.5 * sc * (-F * Ev + E * Gu) / det
-    rE = math.sqrt(E)
-    c = math.cos(psi)
-    sn = math.sin(psi)
+    rE = xp.sqrt(E)
+    c = xp.cos(psi)
+    sn = xp.sin(psi)
     du = c / rE - sn * F / (rE * W)
     dv = sn * rE / W
     return du, dv, -(wu * du + wv * dv)
 
 
-def _rhs_np(s: Surface, u, v, psi):
-    E, F, G, Eu, Ev, Fu, Fv, Gu, Gv = s.jet(u, v, np)
-    det = E * G - F * F
-    W = np.sqrt(det)
-    sc = W / E
-    wu = 0.5 * sc * (-F * Eu + E * (2.0 * Fu - Ev)) / det
-    wv = 0.5 * sc * (-F * Ev + E * Gu) / det
-    rE = np.sqrt(E)
-    c = np.cos(psi)
-    sn = np.sin(psi)
-    du = c / rE - sn * F / (rE * W)
-    dv = sn * rE / W
-    return du, dv, -(wu * du + wv * dv)
+def _rk4(s: Surface, u, v, psi, h, xp):
+    """One classical RK4 step of (u, v, psi): scalars with xp=math, lanes with xp=np."""
+    hh = 0.5 * h
+    a1, b1, c1 = _rhs(s, u, v, psi, xp)
+    a2, b2, c2 = _rhs(s, u + hh * a1, v + hh * b1, psi + hh * c1, xp)
+    a3, b3, c3 = _rhs(s, u + hh * a2, v + hh * b2, psi + hh * c2, xp)
+    a4, b4, c4 = _rhs(s, u + h * a3, v + h * b3, psi + h * c3, xp)
+    h6 = h / 6.0
+    return (
+        u + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+        psi + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
+    )
 
 
 def _scalar_bounds(s: Surface):
@@ -87,18 +89,12 @@ def _integrate(s: Surface, u0, v0, psi0, h, n):
     us, vs, ps = [u0], [v0], [psi0]
     u, v, psi = u0, v0, psi0
     for _ in range(n):
-        a1, b1, c1 = _rhs(s, u, v, psi)
-        a2, b2, c2 = _rhs(s, u + 0.5 * h * a1, v + 0.5 * h * b1, psi + 0.5 * h * c1)
-        a3, b3, c3 = _rhs(s, u + 0.5 * h * a2, v + 0.5 * h * b2, psi + 0.5 * h * c2)
-        a4, b4, c4 = _rhs(s, u + h * a3, v + h * b3, psi + h * c3)
-        nu = u + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        nv = v + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        np_ = psi + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        if ub is not None and not ub[0] <= nu <= ub[1]:
+        u, v, psi = _rk4(s, u, v, psi, h, math)
+        # truncate on exit: the lists end at the last sample inside
+        if ub is not None and not ub[0] <= u <= ub[1]:
             return us, vs, ps, True
-        if vb is not None and not vb[0] <= nv <= vb[1]:
+        if vb is not None and not vb[0] <= v <= vb[1]:
             return us, vs, ps, True
-        u, v, psi = nu, nv, np_
         us.append(u)
         vs.append(v)
         ps.append(psi)
@@ -106,15 +102,8 @@ def _integrate(s: Surface, u0, v0, psi0, h, n):
 
 
 def _velocities(s: Surface, pts: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    E, F, G = (
-        np.broadcast_to(np.asarray(t, dtype=float), psis.shape)
-        for t in s.jet(pts[:, 0], pts[:, 1], np)[:3]
-    )
-    W = np.sqrt(E * G - F * F)
-    rE = np.sqrt(E)
-    du = np.cos(psis) / rE - np.sin(psis) * F / (rE * W)
-    dv = np.sin(psis) * rE / W
-    return np.column_stack([du, dv])
+    E, F, G = s.jet(pts[:, 0], pts[:, 1], np)[:3]
+    return np.column_stack(surface.from_frame(E, F, G, np.cos(psis), np.sin(psis)))
 
 
 def _shot_step(s: Surface, length: float, step) -> float:
@@ -141,11 +130,7 @@ def _make_shot(
     """GeodesicShot from an _integrate trajectory taken with step h."""
     u0, v0 = us[0], vs[0]
     if len(us) < 2:
-        raise ChartExitError(
-            "geodesic leaves the chart domain on its first step",
-            ChartPoint(u0, v0),
-            0.0,
-        )
+        raise _first_step_exit(u0, v0)
     pts = np.column_stack([us, vs])
     psis = np.asarray(ps)
     steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -168,15 +153,10 @@ def _make_shot(
     )
 
 
-def _direction_components(direction, base) -> np.ndarray:
-    if isinstance(direction, TangentVector):
-        if (
-            abs(direction.base[0] - base[0]) > 1e-9
-            or abs(direction.base[1] - base[1]) > 1e-9
-        ):
-            raise ValueError("direction is not based at the start point")
-        return np.array([direction.du, direction.dv], dtype=float)
-    return np.asarray(direction, dtype=float).reshape(2)
+def _first_step_exit(u0: float, v0: float) -> ChartExitError:
+    return ChartExitError(
+        "geodesic leaves the chart domain on its first step", ChartPoint(u0, v0), 0.0
+    )
 
 
 def shoot_geodesic(s: Surface, start, direction, length: float, step=None) -> GeodesicShot:
@@ -186,11 +166,7 @@ def shoot_geodesic(s: Surface, start, direction, length: float, step=None) -> Ge
     traversed and ``exited`` set.
     """
     u0, v0 = float(start[0]), float(start[1])
-    w = _direction_components(direction, (u0, v0))
-    norm = surface.metric_norm(s, (u0, v0), w)
-    if norm == 0.0 or not math.isfinite(norm):
-        raise ValueError("direction must be a nonzero finite vector")
-    psi0 = surface.frame_angle(s, (u0, v0), w)
+    _, psi0 = surface._norm_and_angle(s, (u0, v0), direction)
     return _shoot_angle(s, (u0, v0), psi0, length, step=step)
 
 
@@ -206,16 +182,10 @@ def shoot_batch(s: Surface, starts: np.ndarray, psis: np.ndarray, length: float,
     h = length / n_steps
     inside = s.domain.strictly_inside
     for _ in range(n_steps):
-        a1, b1, c1 = _rhs_np(s, u, v, psi)
-        a2, b2, c2 = _rhs_np(s, u + 0.5 * h * a1, v + 0.5 * h * b1, psi + 0.5 * h * c1)
-        a3, b3, c3 = _rhs_np(s, u + 0.5 * h * a2, v + 0.5 * h * b2, psi + 0.5 * h * c2)
-        a4, b4, c4 = _rhs_np(s, u + h * a3, v + h * b3, psi + h * c3)
-        u = u + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        v = v + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        psi = psi + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        ok = inside(u, v)
-        if not np.all(ok):
-            k = int(np.argmin(ok))
+        u, v, psi = _rk4(s, u, v, psi, h, np)
+        # raise on exit, naming the first lane that left
+        if not inside(u, v):
+            k = next(i for i in range(len(u)) if not inside(u[i], v[i]))
             raise ChartExitError(
                 "offset geodesic leaves the chart domain",
                 ChartPoint(float(u[k]), float(v[k])),
@@ -270,7 +240,7 @@ def connect_geodesic(
     if not s.domain.strictly_inside(ua, va):
         raise ValueError("start point lies outside the chart domain")
     du, dv = _wrap_delta(s, a, b)
-    if s.name == "sphere":
+    if s.sphere_radius is not None:
         # antipodal pairs do not single out a great circle
         adu, adv = _wrap_delta(s, (math.pi - ua, va + math.pi), b)
         if math.hypot(adu, adv) < 1e-3:
@@ -311,11 +281,8 @@ def connect_geodesic(
         us, vs, ps, exited = _integrate(s, ua, va, psi, h, n)
         # miss to the target in the orthonormal frame at the endpoint, then
         # split along and across the arrival velocity cos(psi) e1 + sin(psi) e2
-        mu, mv = tu - us[-1], tv - vs[-1]
         E, F, G = s.jet(us[-1], vs[-1], math)[:3]
-        rE = math.sqrt(E)
-        ma = (E * mu + F * mv) / rE
-        mb = mv * math.sqrt(E * G - F * F) / rE
+        ma, mb = surface.to_frame(E, F, G, tu - us[-1], tv - vs[-1], math)
         c, sn = math.cos(ps[-1]), math.sin(ps[-1])
         lon = ma * c + mb * sn
         perp = mb * c - ma * sn
@@ -329,6 +296,8 @@ def connect_geodesic(
             prev_psi = prev_perp = None
             continue
         if exited:
+            if len(us) < 2:
+                raise _first_step_exit(ua, va)
             L = (len(us) - 1) * h
             continue
         if jac is None:
@@ -405,23 +374,9 @@ def _chord_profile(s: Surface, pts: np.ndarray):
     mids = 0.5 * (pts[:-1] + pts[1:])
     delta = np.diff(pts, axis=0)
     m = len(mids)
-    E, F, G = (
-        np.broadcast_to(np.asarray(t, dtype=float), (m,))
-        for t in s.jet(mids[:, 0], mids[:, 1], np)[:3]
-    )
-    W = np.sqrt(E * G - F * F)
-    rE = np.sqrt(E)
-    theta = np.arctan2(
-        delta[:, 1] * W / rE, (E * delta[:, 0] + F * delta[:, 1]) / rE
-    )
-    ds = np.sqrt(
-        np.maximum(
-            E * delta[:, 0] ** 2
-            + 2.0 * F * delta[:, 0] * delta[:, 1]
-            + G * delta[:, 1] ** 2,
-            0.0,
-        )
-    )
+    a, b = surface.to_frame(*s.jet(mids[:, 0], mids[:, 1], np)[:3], delta[:, 0], delta[:, 1])
+    theta = np.arctan2(b, a)
+    ds = np.hypot(a, b)
     zig = np.empty((2 * m - 1, 2))
     zig[0::2] = mids
     zig[1::2] = pts[1:-1]
@@ -431,24 +386,11 @@ def _chord_profile(s: Surface, pts: np.ndarray):
     dtheta = (dtheta + math.pi) % (2.0 * math.pi) - math.pi
     ds_avg = 0.5 * (ds[:-1] + ds[1:])
     rho = -(dtheta - alpha) / ds_avg
+    # unit left normal of the central chord: rotate its frame components
     dc = pts[2:] - pts[:-2]
-    Ei, Fi, Gi = (
-        np.broadcast_to(np.asarray(t, dtype=float), (len(dc),))
-        for t in s.jet(pts[1:-1, 0], pts[1:-1, 1], np)[:3]
-    )
-    Wi = np.sqrt(Ei * Gi - Fi * Fi)
-    nor = np.column_stack(
-        [-(Fi * dc[:, 0] + Gi * dc[:, 1]) / Wi, (Ei * dc[:, 0] + Fi * dc[:, 1]) / Wi]
-    )
-    nn = np.sqrt(
-        np.maximum(
-            Ei * nor[:, 0] ** 2
-            + 2.0 * Fi * nor[:, 0] * nor[:, 1]
-            + Gi * nor[:, 1] ** 2,
-            0.0,
-        )
-    )
-    nor = nor / nn[:, None]
+    E, F, G = s.jet(pts[1:-1, 0], pts[1:-1, 1], np)[:3]
+    a, b = surface.to_frame(E, F, G, dc[:, 0], dc[:, 1])
+    nor = np.column_stack(surface.from_frame(E, F, G, -b, a)) / np.hypot(a, b)[:, None]
     return rho, nor, ds_avg
 
 
@@ -568,15 +510,10 @@ def second_variation_probe(s: Surface, g: GeodesicShot, amplitude: float):
     if not amplitude > 0:
         raise ValueError("amplitude must be positive")
     bump = np.sin(np.pi * arcs / L)
-    vel = g.velocities
-    E, F, G = (
-        np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
-        for t in s.jet(pts[:, 0], pts[:, 1], np)[:3]
-    )
-    W = np.sqrt(E * G - F * F)
-    nor = np.column_stack(
-        [-(F * vel[:, 0] + G * vel[:, 1]) / W, (E * vel[:, 0] + F * vel[:, 1]) / W]
-    )
+    # unit left normal: the heading turned a quarter turn in the frame
+    psi = g.headings
+    E, F, G = s.jet(pts[:, 0], pts[:, 1], np)[:3]
+    nor = np.column_stack(surface.from_frame(E, F, G, -np.sin(psi), np.cos(psi)))
     base = float(paths.segment_lengths(s, pts).sum())
     deltas = []
     for sign in (1.0, -1.0):

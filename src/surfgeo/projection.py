@@ -68,9 +68,11 @@ MERCATOR_POLE_CUTOFF = 0.2  # colatitude kept clear of both poles
 
 
 def _require_sphere(s: Surface) -> float:
-    if s.name != "sphere":
-        raise ValueError(f"flat-map projections are defined for spheres, not {s.name!r}")
-    return float(s.params[0])
+    if s.sphere_radius is None:
+        raise ValueError(
+            f"flat-map projections are defined for the builtin sphere, not {s.name!r}"
+        )
+    return s.sphere_radius
 
 
 def builtin_projection(name: str, s: Surface, nominal_scale: float = 1.0) -> FlatMap:

@@ -3,8 +3,14 @@
 A surface is a chart rectangle together with the metric coefficients
 E, F, G and their first derivatives (the "jet").  Builtins supply the jet
 analytically; user-defined surfaces fall back to central differences.
-Christoffel symbols, orthonormal frames, and the connection one-form that
+Christoffel symbols, the orthonormal frame, and the connection one-form that
 drives parallel transport are all derived from the jet here.
+
+The orthonormal frame is e1 = d_u/sqrt(E) with e2 its Gram-Schmidt
+complement.  ``to_frame`` and ``from_frame`` convert chart components to
+frame components and back, for scalars (``xp=math``) or arrays (``xp=np``);
+every caller that needs the frame goes through them, except the fused
+geodesic right-hand side in ``geodesics``.
 
 Conventions used throughout the package:
 
@@ -104,9 +110,14 @@ class Surface:
     """A chart domain plus metric jet and optional embedding.
 
     ``jet(u, v, xp)`` returns (E, F, G, Eu, Ev, Fu, Fv, Gu, Gv); it must
-    accept scalars with ``xp=math`` and arrays with ``xp=np``, which keeps a
-    single source of truth for both the vectorized and the tight scalar
-    integration paths.
+    accept scalars with ``xp=math`` and arrays with ``xp=np``.  It is the
+    single source of truth for both paths: scalar geodesic shots and the
+    pointwise frame helpers call it with ``xp=math``; lane-batched shots,
+    quadratures and array frame conversions call it with ``xp=np``.
+
+    ``sphere_radius`` is set only by the builtin sphere.  It is the data the
+    sphere-only rules read (the antipode check in ``connect_geodesic`` and
+    the flat-map projections); a surface is never dispatched on its name.
     """
 
     name: str
@@ -115,27 +126,10 @@ class Surface:
     embedding: Callable | None = field(default=None, repr=False)
     embedding_frame: Callable | None = field(default=None, repr=False)
     feature_scale: float = 1.0
-    params: tuple = ()
+    sphere_radius: float | None = None
 
     def __post_init__(self):
         _check_positive_definite(self)
-
-    @property
-    def metric(self) -> Callable:
-        """Callable (u, v) -> (E, F, G)."""
-
-        def metric_fn(u, v):
-            E, F, G = self.jet(u, v, np)[:3]
-            return E, F, G
-
-        return metric_fn
-
-    @property
-    def chart_domain(self) -> ChartDomain:
-        return self.domain
-
-    def point(self, u: float, v: float) -> ChartPoint:
-        return ChartPoint(float(u), float(v))
 
 
 def _check_positive_definite(s: Surface, grid: int = 8) -> None:
@@ -304,14 +298,14 @@ def builtin_surface(kind: str, params: Sequence[float] = (), pole_margin: float 
     params = tuple(float(x) for x in params)
     if kind == "plane":
         dom = ChartDomain(-10.0, 10.0, -10.0, 10.0)
-        return Surface("plane", dom, _plane_jet(), _plane_emb(), _plane_frame(), 1.0, params)
+        return Surface("plane", dom, _plane_jet(), _plane_emb(), _plane_frame(), 1.0)
     if kind == "sphere":
         (r,) = _need(params, 1, kind)
         if r <= 0:
             raise ValueError("sphere radius must be positive")
         dom = ChartDomain(0.0, math.pi, 0.0, 2 * math.pi, False, True, pole_margin, 0.0)
         emb, frame = _sphere_embedding(r)
-        return Surface("sphere", dom, _sphere_jet(r), emb, frame, r, params)
+        return Surface("sphere", dom, _sphere_jet(r), emb, frame, r, sphere_radius=r)
     if kind == "cylinder":
         (r,) = _need(params, 1, kind)
         if r <= 0:
@@ -328,7 +322,7 @@ def builtin_surface(kind: str, params: Sequence[float] = (), pole_margin: float 
             xv = np.stack([-r * np.sin(v), r * np.cos(v), z], axis=-1)
             return x, xu, xv
 
-        return Surface("cylinder", dom, _cylinder_jet(r), emb, frame, r, params)
+        return Surface("cylinder", dom, _cylinder_jet(r), emb, frame, r)
     if kind == "torus":
         R, r = _need(params, 2, kind)
         if not (R > r > 0):
@@ -350,7 +344,7 @@ def builtin_surface(kind: str, params: Sequence[float] = (), pole_margin: float 
             xv = np.stack([-w * np.sin(v), w * np.cos(v), z], axis=-1)
             return x, xu, xv
 
-        return Surface("torus", dom, _torus_jet(R, r), emb, frame, r, params)
+        return Surface("torus", dom, _torus_jet(R, r), emb, frame, r)
     if kind == "hill":
         h, sigma = _need(params, 2, kind)
         if sigma <= 0:
@@ -372,7 +366,7 @@ def builtin_surface(kind: str, params: Sequence[float] = (), pole_margin: float 
             xv = np.stack([z, one, fv + z], axis=-1)
             return x, xu, xv
 
-        return Surface("hill", dom, _hill_jet(h, sigma), emb, frame, sigma, params)
+        return Surface("hill", dom, _hill_jet(h, sigma), emb, frame, sigma)
     if kind == "ellipsoid":
         a, b, c = _need(params, 3, kind)
         if min(a, b, c) <= 0:
@@ -392,9 +386,7 @@ def builtin_surface(kind: str, params: Sequence[float] = (), pole_margin: float 
             xv = np.stack([-a * su * sv, b * su * cv, z], axis=-1)
             return x, xu, xv
 
-        return Surface(
-            "ellipsoid", dom, _ellipsoid_jet(a, b, c), emb, frame, min(a, b, c), params
-        )
+        return Surface("ellipsoid", dom, _ellipsoid_jet(a, b, c), emb, frame, min(a, b, c))
     raise ValueError(
         f"unknown surface kind {kind!r}; known kinds: plane, sphere, cylinder, "
         "torus, hill, ellipsoid"
@@ -519,13 +511,6 @@ def surface_from_embedding(
 # ---------------------------------------------------------------------------
 
 
-def metric_at(s: Surface, p) -> np.ndarray:
-    """First fundamental form as a 2x2 matrix at a chart point."""
-    u, v = float(p[0]), float(p[1])
-    E, F, G = s.jet(u, v, math)[:3]
-    return np.array([[E, F], [F, G]])
-
-
 def christoffel_at(s: Surface, p) -> ChristoffelSymbols:
     """Christoffel symbols of the second kind at a chart point."""
     u, v = float(p[0]), float(p[1])
@@ -582,24 +567,39 @@ def connection_increments(s: Surface, points, panels: int = 1) -> np.ndarray:
     return -(f @ weights)
 
 
+def to_frame(E, F, G, wu, wv, xp=np):
+    """Components (a, b) of the chart vector (wu, wv) in the orthonormal frame.
+
+    The frame is e1 = d_u/sqrt(E), e2 its Gram-Schmidt complement; E, F, G
+    are the metric at the vector's base point.
+    """
+    rE = xp.sqrt(E)
+    return (E * wu + F * wv) / rE, wv * xp.sqrt(E * G - F * F) / rE
+
+
+def from_frame(E, F, G, a, b, xp=np):
+    """Chart components (wu, wv) of a e1 + b e2; the inverse of ``to_frame``."""
+    rE = xp.sqrt(E)
+    W = xp.sqrt(E * G - F * F)
+    return a / rE - b * F / (rE * W), b * rE / W
+
+
+def _metric(s: Surface, p) -> tuple[float, float, float]:
+    return tuple(float(t) for t in s.jet(float(p[0]), float(p[1]), math)[:3])
+
+
 def frame_at(s: Surface, p) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal frame (e1, e2) in chart components at a point."""
-    E, F, G = (float(t) for t in s.jet(float(p[0]), float(p[1]), math)[:3])
-    W = math.sqrt(E * G - F * F)
-    rE = math.sqrt(E)
-    e1 = np.array([1.0 / rE, 0.0])
-    e2 = np.array([-F / (rE * W), rE / W])
-    return e1, e2
+    E, F, G = _metric(s, p)
+    return (
+        np.array(from_frame(E, F, G, 1.0, 0.0, math)),
+        np.array(from_frame(E, F, G, 0.0, 1.0, math)),
+    )
 
 
 def frame_components(s: Surface, p, w) -> tuple[float, float]:
     """Components (a, b) of chart vector w in the orthonormal frame at p."""
-    E, F, G = (float(t) for t in s.jet(float(p[0]), float(p[1]), math)[:3])
-    W = math.sqrt(E * G - F * F)
-    wu, wv = float(w[0]), float(w[1])
-    a = (E * wu + F * wv) / math.sqrt(E)
-    b = wv * W / math.sqrt(E)
-    return a, b
+    return to_frame(*_metric(s, p), float(w[0]), float(w[1]), math)
 
 
 def frame_angle(s: Surface, p, w) -> float:
@@ -609,12 +609,11 @@ def frame_angle(s: Surface, p, w) -> float:
 
 
 def vector_from_frame(s: Surface, p, a: float, b: float) -> np.ndarray:
-    e1, e2 = frame_at(s, p)
-    return a * e1 + b * e2
+    return np.array(from_frame(*_metric(s, p), a, b, math))
 
 
 def metric_dot(s: Surface, p, w1, w2) -> float:
-    E, F, G = (float(t) for t in s.jet(float(p[0]), float(p[1]), math)[:3])
+    E, F, G = _metric(s, p)
     return (
         E * w1[0] * w2[0] + F * (w1[0] * w2[1] + w1[1] * w2[0]) + G * w1[1] * w2[1]
     )
@@ -624,31 +623,20 @@ def metric_norm(s: Surface, p, w) -> float:
     return math.sqrt(max(metric_dot(s, p, w, w), 0.0))
 
 
-def left_normal(s: Surface, p, w) -> np.ndarray:
-    """Unit vector metric-perpendicular to w, on the left of its direction."""
-    E, F, G = (float(t) for t in s.jet(float(p[0]), float(p[1]), math)[:3])
-    W = math.sqrt(E * G - F * F)
-    n = np.array([-(F * w[0] + G * w[1]) / W, (E * w[0] + F * w[1]) / W])
-    norm = metric_norm(s, p, w)
-    if norm == 0:
-        raise ValueError("cannot take the normal of a zero vector")
-    return n / norm
+def _norm_and_angle(s: Surface, base, w) -> tuple[float, float]:
+    """Metric norm and frame angle at ``base`` of a nonzero tangent vector.
 
-
-def embedding_point(s: Surface, p) -> np.ndarray:
-    """Ambient 3-space position of a chart point."""
-    if s.embedding is None:
-        raise ValueError(f"surface {s.name!r} is intrinsic-only (no embedding)")
-    return np.asarray(s.embedding(np.asarray(p[0]), np.asarray(p[1])), dtype=float)
-
-
-def surface_normal(s: Surface, p) -> np.ndarray:
-    """Unit normal of the embedded surface at a chart point."""
-    if s.embedding_frame is None:
-        raise ValueError(f"surface {s.name!r} is intrinsic-only (no embedding)")
-    _, xu, xv = s.embedding_frame(np.asarray(p[0]), np.asarray(p[1]))
-    n = np.cross(xu, xv)
-    return n / np.linalg.norm(n)
+    ``w`` is a TangentVector based at ``base`` or a pair of chart components.
+    """
+    if isinstance(w, TangentVector):
+        if abs(w.base[0] - base[0]) > 1e-9 or abs(w.base[1] - base[1]) > 1e-9:
+            raise ValueError("tangent vector is not based at the start point")
+        w = (w.du, w.dv)
+    w = np.asarray(w, dtype=float).reshape(2)
+    norm = metric_norm(s, base, w)
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ValueError("tangent vector must be nonzero and finite")
+    return norm, frame_angle(s, base, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Minimal deterministic SVG plots for scenario outputs.
 
-Three figure kinds: chart-plane path overlays, log-log convergence lines,
-and ratio histograms. Output is plain SVG text built with fixed-precision
-formatting, so identical inputs produce byte-identical files.
+Two figure kinds: chart-plane path overlays and ratio histograms. Output
+is plain SVG text built with fixed-precision formatting, so identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(m * mag for m in (1, 2, 5, 10) if m * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -125,14 +125,12 @@ def _check_series(series):
 def emit_svg_plot(series, kind: str, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
     """Render labeled series as an SVG document string.
 
-    kinds: ``path_overlay`` (chart polylines, equal axes), ``convergence``
-    (log-log error lines), ``ratio_histogram`` (binned value counts).
+    kinds: ``path_overlay`` (chart polylines, equal axes) and
+    ``ratio_histogram`` (binned value counts).
     """
     _check_series(series)
     if kind == "path_overlay":
         return _path_overlay(series, title, xlabel or "u", ylabel or "v")
-    if kind == "convergence":
-        return _convergence(series, title, xlabel or "scale", ylabel or "error")
     if kind == "ratio_histogram":
         return _ratio_histogram(series, title, xlabel or "ratio", ylabel or "count")
     raise ValueError(f"unknown plot kind {kind!r}")
@@ -151,32 +149,6 @@ def _path_overlay(series, title, xlabel, ylabel):
     xt = [(t, f"{t:.4g}") for t in _ticks(c.xlo, c.xhi)]
     yt = [(t, f"{t:.4g}") for t in _ticks(c.ylo, c.yhi)]
     c.axes(xlabel, ylabel, xt, yt)
-    labels = []
-    for i, (label, a) in enumerate(arrays):
-        color = PALETTE[i % len(PALETTE)]
-        c.polyline(a[:, 0], a[:, 1], color)
-        labels.append((label, color))
-    c.legend(labels)
-    return c.document(title)
-
-
-def _convergence(series, title, xlabel, ylabel):
-    arrays = []
-    for label, data in series:
-        a = np.asarray(data, dtype=float).reshape(-1, 2)
-        if np.any(a <= 0):
-            raise ValueError("convergence plots need positive values on both axes")
-        arrays.append((label, np.log10(a)))
-    allpts = np.concatenate([a for _, a in arrays])
-    c = _Canvas(
-        allpts[:, 0].min() - 0.1,
-        allpts[:, 0].max() + 0.1,
-        allpts[:, 1].min() - 0.2,
-        allpts[:, 1].max() + 0.2,
-    )
-    xt = [(t, f"1e{t:g}") for t in _ticks(c.xlo, c.xhi, 4) if abs(t - round(t)) < 1e-9]
-    yt = [(t, f"1e{t:g}") for t in _ticks(c.ylo, c.yhi, 4) if abs(t - round(t)) < 1e-9]
-    c.axes(xlabel, ylabel, xt or [(c.xlo, f"1e{c.xlo:.2f}")], yt or [(c.ylo, f"1e{c.ylo:.2f}")])
     labels = []
     for i, (label, a) in enumerate(arrays):
         color = PALETTE[i % len(PALETTE)]

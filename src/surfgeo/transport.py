@@ -51,14 +51,6 @@ class ChariotResult(TransportResult):
     center_track: np.ndarray | None = None
 
 
-def _initial_components(v0, base) -> np.ndarray:
-    if isinstance(v0, TangentVector):
-        if abs(v0.base[0] - base[0]) > 1e-9 or abs(v0.base[1] - base[1]) > 1e-9:
-            raise ValueError("initial vector is not based at the path's first sample")
-        return np.array([v0.du, v0.dv], dtype=float)
-    return np.asarray(v0, dtype=float).reshape(2)
-
-
 def parallel_transport(
     s: Surface,
     p: Path,
@@ -72,11 +64,7 @@ def parallel_transport(
     if not np.all(s.domain.strictly_inside(pts[:, 0], pts[:, 1])):
         raise ValueError("path leaves the chart domain (or touches its margin)")
     base = ChartPoint(float(pts[0, 0]), float(pts[0, 1]))
-    w0 = _initial_components(v0, base)
-    norm0 = surface.metric_norm(s, base, w0)
-    if norm0 == 0.0 or not math.isfinite(norm0):
-        raise ValueError("initial vector must be nonzero and finite")
-    theta0 = surface.frame_angle(s, base, w0)
+    norm0, theta0 = surface._norm_and_angle(s, base, v0)
 
     panels = 1
     inc = surface.connection_increments(s, pts, panels)
@@ -173,11 +161,8 @@ def finite_chariot(s: Surface, p: Path, cfg: ChariotConfig) -> ChariotResult:
         np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
         for t in s.jet(pts[:, 0], pts[:, 1], np)[:3]
     )
-    W = np.sqrt(E * G - F * F)
-    rE = np.sqrt(E)
-    heading = np.unwrap(
-        np.arctan2(dirs[:, 1] * W / rE, (E * dirs[:, 0] + F * dirs[:, 1]) / rE)
-    )
+    a, b = surface.to_frame(E, F, G, dirs[:, 0], dirs[:, 1])
+    heading = np.unwrap(np.arctan2(b, a))
 
     left_track, _ = geodesics.shoot_batch(s, pts, heading + 0.5 * math.pi, 0.5 * w)
     right_track, _ = geodesics.shoot_batch(s, pts, heading - 0.5 * math.pi, 0.5 * w)

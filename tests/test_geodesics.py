@@ -167,6 +167,51 @@ def test_connect_rejects_degenerate_pairs():
         geodesics.connect_geodesic(SPHERE, (-0.5, 1.0), (1.0, 1.0))
 
 
+def test_connect_on_builtin_sphere_rejects_near_antipodal_endpoints():
+    a = (1.0, 0.5)
+    for gap in (0.0, 2e-4, 6e-4):
+        b = (math.pi - a[0] + gap, a[1] + math.pi - gap)
+        with pytest.raises(ValueError, match="antipodal"):
+            geodesics.connect_geodesic(SPHERE, a, b)
+
+
+def test_connect_first_shot_leaving_on_step_one_is_a_chart_exit():
+    # the straight-line guess runs off the hill's chart edge at u = 6
+    with pytest.raises(geodesics.ChartExitError, match="first step") as info:
+        geodesics.connect_geodesic(HILL, (6.0 - 1e-3, 0.0), (0.0, 0.0), initial_angle=0.0)
+    assert info.value.traversed == 0.0
+    assert tuple(info.value.point) == (6.0 - 1e-3, 0.0)
+
+
+@pytest.mark.parametrize("s", [
+    SPHERE, HILL, ELLIPSOID, sf.builtin_surface("torus", {"R": 2.0, "r": 0.7}),
+], ids=["sphere", "hill", "ellipsoid", "torus"])
+def test_shoot_batch_lanes_match_scalar_integration(s):
+    # the lane kernel and the scalar shot share one RK4 step
+    rng = np.random.default_rng(5)
+    d = s.domain
+    starts = np.column_stack([
+        rng.uniform(d.u_min + 0.2 * (d.u_max - d.u_min), d.u_max - 0.2 * (d.u_max - d.u_min), 12),
+        rng.uniform(d.v_min + 0.2 * (d.v_max - d.v_min), d.v_max - 0.2 * (d.v_max - d.v_min), 12),
+    ])
+    psis = rng.uniform(-math.pi, math.pi, 12)
+    L = 0.3
+    ends, angles = geodesics.shoot_batch(s, starts, psis, L)
+    for k in range(len(starts)):
+        us, vs, ps, exited = geodesics._integrate(s, starts[k, 0], starts[k, 1], psis[k], L / 8, 8)
+        assert not exited
+        assert abs(ends[k, 0] - us[-1]) <= 1e-14
+        assert abs(ends[k, 1] - vs[-1]) <= 1e-14
+        assert abs(angles[k] - ps[-1]) <= 1e-14
+
+
+def test_shoot_batch_exit_names_the_lane_that_left():
+    starts = np.array([[1.0, 0.5], [0.01, 0.5]])
+    with pytest.raises(geodesics.ChartExitError) as info:
+        geodesics.shoot_batch(SPHERE, starts, np.array([0.0, math.pi]), 0.1)
+    assert info.value.point[0] < 0.01
+
+
 def test_shot_truncates_on_domain_exit():
     g = geodesics.shoot_geodesic(HILL, (2.5, 0.0), (1.0, 0.0), 5.0)
     assert g.exited

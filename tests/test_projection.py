@@ -66,6 +66,18 @@ def test_projection_requires_sphere():
         projection.FlatMap("m", lambda u, v: (u, v), nominal_scale=0.0)
 
 
+def test_projection_needs_the_builtin_sphere_not_its_name():
+    # a user surface named "sphere" carries no radius for the map scale
+    lookalike = sf.surface_from_metric(
+        "sphere", SPHERE.domain, lambda u, v: (1.0, 0.0, np.sin(u) ** 2)
+    )
+    for name in ("mercator", "equirectangular"):
+        with pytest.raises(ValueError, match="builtin sphere"):
+            projection.builtin_projection(name, lookalike)
+    # the builtin sphere's radius sets the map scale
+    assert projection.builtin_projection("equirectangular", BIG).forward(1.0, 2.0)[0] == 6.371 * 2.0
+
+
 def test_distortion_report_shape_and_determinism():
     m = projection.builtin_projection("mercator", SPHERE)
     r1 = projection.distortion_report(m, SPHERE, n_pairs=60, seed=4)

@@ -153,6 +153,21 @@ def test_frame_components_roundtrip(kind, params):
         assert abs(math.hypot(a, b) - sf.metric_norm(s, p, w)) < 1e-10
 
 
+@pytest.mark.parametrize("kind,params", BUILTINS)
+def test_to_frame_and_from_frame_are_inverse_on_arrays(kind, params):
+    s = sf.builtin_surface(kind, params)
+    pts = _interior_points(s, 16, seed=19)
+    w = np.random.default_rng(21).normal(size=(16, 2))
+    E, F, G = s.jet(pts[:, 0], pts[:, 1], np)[:3]
+    a, b = sf.to_frame(E, F, G, w[:, 0], w[:, 1])
+    wu, wv = sf.from_frame(E, F, G, a, b)
+    assert np.allclose(wu, w[:, 0], atol=1e-12) and np.allclose(wv, w[:, 1], atol=1e-12)
+    for k, p in enumerate(pts):
+        # the vectorized helpers agree with the scalar frame at each point
+        assert np.allclose((a[k], b[k]), sf.frame_components(s, p, w[k]), atol=1e-13)
+        assert abs(math.hypot(a[k], b[k]) - sf.metric_norm(s, p, w[k])) < 1e-12
+
+
 def test_frame_angle_conventions_on_sphere():
     s = sf.builtin_surface("sphere", {"r": 1.0})
     p = (math.pi / 2, 1.0)
