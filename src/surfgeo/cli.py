@@ -141,7 +141,7 @@ class _Blocks:
             p = _build_path(s, spec, f"regions[{name}]")
             if not isinstance(p, paths.Loop):
                 raise ConfigError(f"regions[{name}] does not describe a closed loop")
-            self.regions[name] = paths.region_from_loop(p)
+            self.regions[name] = _region_from_loop(p, f"regions[{name}]")
 
     def path(self, name: str):
         if name not in self.named:
@@ -158,8 +158,15 @@ class _Blocks:
         if name in self.regions:
             return self.regions[name]
         if name in self.named:
-            return paths.region_from_loop(self.loop(name))
+            return _region_from_loop(self.loop(name), f"regions[{name}]")
         raise ConfigError(f"unknown region name {name!r}")
+
+
+def _region_from_loop(loop: paths.Loop, where: str) -> paths.RegionBoundary:
+    try:
+        return paths.region_from_loop(loop)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _points_list(cmd: dict, key: str = "points"):

@@ -70,7 +70,13 @@ class Loop(Path):
 
 @dataclass(frozen=True, eq=False)
 class RegionBoundary:
-    """A simple, exactly closed, positively oriented chart polygon."""
+    """A simple, exactly closed, positively oriented chart polygon.
+
+    Simple means no two non-adjacent boundary segments meet, touching
+    included: a loop through the same sample twice is rejected.  The check
+    (``_chartgeom.polyline_is_simple``) buckets segments on a uniform grid,
+    so it costs O(n log n) in the number of samples.
+    """
 
     loop: Loop
     signed_area: float = field(default=0.0)
@@ -272,7 +278,10 @@ def reverse_path(p: Path) -> Path:
 
 
 def is_simple(p: Path) -> bool:
-    closed = isinstance(p, Loop)
+    """No two non-adjacent chart segments meet.  A loop that closes only
+    modulo a chart period has no closing chart segment and is checked as
+    an open polyline."""
+    closed = isinstance(p, Loop) and p.chart_closed
     return _chartgeom.polyline_is_simple(p.points, closed=closed)
 
 

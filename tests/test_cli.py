@@ -251,3 +251,20 @@ def test_demo_configs_run_clean(cfg, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["run", str(cfg)])
     assert rc == 0
+
+
+@pytest.mark.parametrize("block", ["regions", "loops"])
+def test_non_simple_region_is_a_config_error(block, tmp_path, capsys):
+    """A bowtie whose diagonals share the sample (0.5, 0.5) cannot bound a
+    region, whether it is declared as a region or as a loop used as one."""
+    cfg = {
+        "surface": {"kind": "plane", "params": {}},
+        block: {"bow": {"generator": "waypoints", "max_step": 0.2,
+                        "params": {"points": [[0, 0], [1, 1], [1, 0], [0, 1], [0, 0]]}}},
+        "command": {"name": "gaussbonnet", "region": "bow", "grid": 2},
+        "output": {"directory": str(tmp_path / "o"), "formats": ["csv"]},
+    }
+    rc = cli.run_scenario(json.dumps(cfg))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: regions[bow]:") and "simple polygon" in err
